@@ -95,43 +95,36 @@ void ThreadPool::ParallelForRange(
   }
   const size_t num_chunks = std::min(count, workers * 4);
   const size_t chunk = (count + num_chunks - 1) / num_chunks;
-  std::atomic<size_t> remaining{0};
   std::mutex done_mutex;
   std::condition_variable done_cv;
+  size_t remaining = (count + chunk - 1) / chunk;  // guarded by done_mutex
   // A throwing chunk must not escape WorkerLoop (that would terminate the
   // process); the first exception is captured here and rethrown on the
   // calling thread once every chunk has drained.
-  std::exception_ptr first_error;
-  std::atomic<bool> has_error{false};
-  size_t launched = 0;
-  for (size_t begin = 0; begin < count; begin += chunk) {
-    ++launched;
-  }
-  remaining.store(launched, std::memory_order_relaxed);
+  std::exception_ptr first_error;  // guarded by done_mutex
   for (size_t begin = 0; begin < count; begin += chunk) {
     const size_t end = std::min(begin + chunk, count);
     Submit([&, begin, end] {
+      std::exception_ptr error;
       try {
         body(begin, end);
       } catch (...) {
-        if (!has_error.exchange(true, std::memory_order_acq_rel)) {
-          first_error = std::current_exception();
-        }
+        error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_one();
-      }
+      // Count down and notify while holding done_mutex. The caller returns
+      // -- destroying done_mutex and done_cv, which live on its stack -- as
+      // soon as it sees zero; an unlocked countdown would let that happen
+      // before this worker locks the mutex to notify.
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (error && !first_error) first_error = error;
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
   {
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock,
-                 [&] { return remaining.load(std::memory_order_acquire) == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
-  if (has_error.load(std::memory_order_acquire)) {
-    std::rethrow_exception(first_error);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 namespace {

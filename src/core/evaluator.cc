@@ -129,6 +129,9 @@ namespace {
 /// stop within one batch, rare enough to stay off the profile.
 constexpr size_t kGovernanceStride = 64;
 
+/// Number of fixed row ranges the scan-block strategy splits X0 into.
+constexpr int64_t kScanRowRanges = 64;
+
 }  // namespace
 
 void SliceEvaluator::EvaluateIndex(const SliceSet& set, bool parallel,
@@ -159,6 +162,11 @@ void SliceEvaluator::EvaluateScanBlock(const SliceSet& set, int block_size,
   const int64_t n = x0_->rows();
   const int64_t m = x0_->cols();
   const int b = std::max(1, block_size);
+  // Fixed row ranges of ceil(n / kScanRowRanges) rows; see the waves below.
+  const int64_t range_rows =
+      std::max<int64_t>(1, (n + kScanRowRanges - 1) / kScanRowRanges);
+  const size_t num_ranges =
+      static_cast<size_t>((n + range_rows - 1) / range_rows);
 
   for (int64_t block_begin = 0; block_begin < count; block_begin += b) {
     if (ctx != nullptr && ctx->ShouldStop()) return;
@@ -214,34 +222,47 @@ void SliceEvaluator::EvaluateScanBlock(const SliceSet& set, int block_size,
       }
     };
 
-    auto merge_into = [&](const Partial& acc) {
+    // Adds one range's sums into `out` and clears them for the next wave.
+    auto fold = [&](Partial* acc) {
       for (int64_t s = 0; s < bs; ++s) {
-        out->sizes[block_begin + s] += acc.ss[s];
-        out->error_sums[block_begin + s] += acc.se[s];
-        out->max_errors[block_begin + s] =
-            std::max(out->max_errors[block_begin + s], acc.sm[s]);
+        const int64_t i = block_begin + s;
+        out->sizes[i] += acc->ss[s];
+        out->error_sums[i] += acc->se[s];
+        out->max_errors[i] = std::max(out->max_errors[i], acc->sm[s]);
+        acc->ss[s] = acc->se[s] = acc->sm[s] = 0.0;
       }
     };
 
-    if (parallel && GlobalThreadPool().num_threads() > 1) {
-      std::mutex merge_mutex;
-      GlobalThreadPool().ParallelForRange(
-          static_cast<size_t>(n), ctx, [&](size_t rb, size_t re) {
-            Partial acc;
-            acc.ss.assign(static_cast<size_t>(bs), 0.0);
-            acc.se.assign(static_cast<size_t>(bs), 0.0);
-            acc.sm.assign(static_cast<size_t>(bs), 0.0);
-            scan(static_cast<int64_t>(rb), static_cast<int64_t>(re), &acc);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            merge_into(acc);
-          });
-    } else {
-      Partial acc;
+    // Rows are swept in waves of up to one fixed row range per worker, and
+    // each wave is folded into `out` in ascending range order. The range
+    // bounds depend on n alone, so the add sequence -- and with it every
+    // rounding -- is the same for any pool size, parallel or serial.
+    const size_t workers =
+        parallel ? std::min(GlobalThreadPool().num_threads(), num_ranges) : 1;
+    std::vector<Partial> partials(workers);
+    for (Partial& acc : partials) {
       acc.ss.assign(static_cast<size_t>(bs), 0.0);
       acc.se.assign(static_cast<size_t>(bs), 0.0);
       acc.sm.assign(static_cast<size_t>(bs), 0.0);
-      scan(0, n, &acc);
-      merge_into(acc);
+    }
+    for (size_t first = 0; first < num_ranges; first += partials.size()) {
+      if (ctx != nullptr && ctx->ShouldStop()) return;
+      const size_t len = std::min(partials.size(), num_ranges - first);
+      auto scan_ranges = [&](size_t begin, size_t end) {
+        for (size_t r = begin; r < end; ++r) {
+          const int64_t row_begin =
+              static_cast<int64_t>(first + r) * range_rows;
+          scan(row_begin, std::min(row_begin + range_rows, n), &partials[r]);
+        }
+      };
+      if (len > 1) {
+        if (!GlobalThreadPool().ParallelForRange(len, ctx, scan_ranges)) {
+          return;
+        }
+      } else {
+        scan_ranges(0, len);
+      }
+      for (size_t r = 0; r < len; ++r) fold(&partials[r]);
     }
   }
 }

@@ -63,10 +63,15 @@ struct SliceLineConfig {
     kBitset,     ///< bit-packed column bitmaps evaluated by the
                  ///< runtime-dispatched SIMD kernels (default)
   };
-  /// kBitset is the default hot path: all three strategies return
-  /// bit-identical results (ascending-row error accumulation everywhere),
-  /// and the packed kernels dominate on every measured workload — see
-  /// BENCH_kernels.json and DESIGN.md "Vectorized kernels".
+  /// kBitset is the default hot path: the packed kernels dominate on every
+  /// measured workload — see BENCH_kernels.json and DESIGN.md "Vectorized
+  /// kernels". Every strategy is bit-deterministic for any pool size,
+  /// parallel or serial. kIndex and kBitset add each slice's errors in one
+  /// ascending-row chain and agree bit for bit; kScanBlock sums fixed row
+  /// ranges (ceil(n/64) rows each, set by n alone) and folds them in
+  /// ascending order, so it can round differently from the single-chain
+  /// strategies when a range holds more than one row. Compare it to them
+  /// within tolerance.
   EvalStrategy eval_strategy = EvalStrategy::kBitset;
   bool parallel = true;  ///< use the global thread pool for evaluation
 

@@ -94,13 +94,18 @@ TEST_F(DeterminismTest, ThreadPoolSizeDoesNotChangeResult) {
   Dataset d = MakePlanted(13, 1500);
   SliceLineConfig config;
   config.k = 6;
-  config.parallel = true;
-  // Per-slice strategies are bit-identical regardless of how work is split
-  // across threads; kScanBlock merges partial sums in completion order and
-  // is covered (with tolerance) by the fuzz harness instead.
+  // Fractional errors, so that a different add order would round
+  // differently (0/1 error sums are exact in any order).
+  Rng jitter(17);
+  for (double& e : d.errors) e = e * 0.7 + jitter.NextDouble(0.0, 0.3);
+  // Every strategy is bit-identical regardless of how work is split across
+  // threads: kScanBlock folds its fixed row ranges (24 rows each here) in
+  // ascending order, parallel or serial.
   using EvalStrategy = SliceLineConfig::EvalStrategy;
-  for (EvalStrategy strategy : {EvalStrategy::kIndex, EvalStrategy::kBitset}) {
+  for (EvalStrategy strategy : {EvalStrategy::kIndex, EvalStrategy::kScanBlock,
+                                EvalStrategy::kBitset}) {
     config.eval_strategy = strategy;
+    config.parallel = true;
     ResizeGlobalThreadPoolForTesting(1);
     auto baseline = RunSliceLine(d.x0, d.errors, config);
     ASSERT_TRUE(baseline.ok());
@@ -112,6 +117,10 @@ TEST_F(DeterminismTest, ThreadPoolSizeDoesNotChangeResult) {
       ExpectIdenticalTopK(*baseline, *result,
                           "threads=" + std::to_string(threads));
     }
+    config.parallel = false;
+    auto serial = RunSliceLine(d.x0, d.errors, config);
+    ASSERT_TRUE(serial.ok());
+    ExpectIdenticalTopK(*baseline, *serial, "parallel=false");
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,13 @@
 #include "data/onehot.h"
 
 namespace sliceline::data {
+
+// gtest prints a parameter without a printer as its raw bytes, and ctest
+// names each parameterized case after that text. DatasetInfo's bytes hold
+// std::string heap pointers, so the names changed with every build; the
+// dataset name keeps them stable.
+void PrintTo(const DatasetInfo& info, std::ostream* os) { *os << info.name; }
+
 namespace {
 
 class GeneratorShapeTest : public ::testing::TestWithParam<DatasetInfo> {};

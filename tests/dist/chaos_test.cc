@@ -72,8 +72,14 @@ class WorkerProcess {
     pid_ = -1;
   }
 
+  /// Returns once the worker is stopped. kill() only queues SIGSTOP: the
+  /// group stop begins when the thread the kernel picked next runs, and
+  /// until then the worker's serving thread can still answer requests.
   void Suspend() {
-    if (pid_ > 0) ::kill(pid_, SIGSTOP);
+    if (pid_ <= 0) return;
+    ::kill(pid_, SIGSTOP);
+    int status = 0;
+    ::waitpid(pid_, &status, WUNTRACED);
   }
   void Resume() {
     if (pid_ > 0) ::kill(pid_, SIGCONT);
