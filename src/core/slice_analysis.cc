@@ -1,36 +1,8 @@
 #include "core/slice_analysis.h"
 
-#include <sstream>
-
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace sliceline::core {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 double SliceJaccard(const Slice& a, const Slice& b,
                     const data::IntMatrix& x0) {
@@ -102,48 +74,6 @@ SliceAnalysis AnalyzeSlices(const std::vector<Slice>& slices,
     }
   }
   return analysis;
-}
-
-std::string ResultToJson(const SliceLineResult& result,
-                         const std::vector<std::string>& feature_names) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"min_support\": " << result.min_support << ",\n";
-  os << "  \"average_error\": " << result.average_error << ",\n";
-  os << "  \"total_seconds\": " << result.total_seconds << ",\n";
-  os << "  \"total_evaluated\": " << result.total_evaluated << ",\n";
-  os << "  \"slices\": [\n";
-  for (size_t i = 0; i < result.top_k.size(); ++i) {
-    const Slice& slice = result.top_k[i];
-    os << "    {\"predicates\": [";
-    for (size_t p = 0; p < slice.predicates.size(); ++p) {
-      const auto& [feature, code] = slice.predicates[p];
-      std::string name = feature >= 0 &&
-                                 feature < static_cast<int>(
-                                               feature_names.size())
-                             ? feature_names[feature]
-                             : "F" + std::to_string(feature);
-      os << (p > 0 ? ", " : "") << "{\"feature\": \"" << JsonEscape(name)
-         << "\", \"index\": " << feature << ", \"value\": " << code << "}";
-    }
-    os << "], \"score\": " << slice.stats.score
-       << ", \"size\": " << slice.stats.size
-       << ", \"error_sum\": " << slice.stats.error_sum
-       << ", \"max_error\": " << slice.stats.max_error << "}"
-       << (i + 1 < result.top_k.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  os << "  \"levels\": [\n";
-  for (size_t i = 0; i < result.levels.size(); ++i) {
-    const LevelStats& level = result.levels[i];
-    os << "    {\"level\": " << level.level
-       << ", \"candidates\": " << level.candidates
-       << ", \"valid\": " << level.valid << ", \"pruned\": " << level.pruned
-       << ", \"seconds\": " << level.seconds << "}"
-       << (i + 1 < result.levels.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
 }
 
 }  // namespace sliceline::core

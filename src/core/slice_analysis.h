@@ -1,7 +1,6 @@
 #ifndef SLICELINE_CORE_SLICE_ANALYSIS_H_
 #define SLICELINE_CORE_SLICE_ANALYSIS_H_
 
-#include <string>
 #include <vector>
 
 #include "core/slice.h"
@@ -33,11 +32,6 @@ SliceAnalysis AnalyzeSlices(const std::vector<Slice>& slices,
 /// Jaccard similarity of two slices' matching-row sets.
 double SliceJaccard(const Slice& a, const Slice& b,
                     const data::IntMatrix& x0);
-
-/// Serializes a result as a JSON document (slices with predicates/stats,
-/// per-level enumeration statistics); feature names are optional.
-std::string ResultToJson(const SliceLineResult& result,
-                         const std::vector<std::string>& feature_names = {});
 
 }  // namespace sliceline::core
 

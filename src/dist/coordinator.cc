@@ -139,16 +139,15 @@ StatusOr<obs::JsonValue> RemoteSliceEvaluator::RoundTrip(
   // sample (enlist / heartbeat / get_spans): assume the sample was taken at
   // the round-trip midpoint and keep the minimum-RTT estimate, whose
   // midpoint uncertainty is tightest.
-  const obs::JsonValue* now_us = root.Find("now_us");
-  if (now_us != nullptr && now_us->is_number()) {
+  const StatusOr<int64_t> now_us = root.RequireInt("now_us");
+  if (now_us.ok()) {
     const size_t w = static_cast<size_t>(&link - links_.data());
     if (w < link_obs_.size()) {
       LinkObs& lo = link_obs_[w];
       const int64_t rtt_us = recv_us - send_us;
       if (rtt_us <= lo.best_rtt_us) {
         lo.best_rtt_us = rtt_us;
-        lo.clock_offset_us = static_cast<int64_t>(now_us->number_value()) -
-                             (send_us + recv_us) / 2;
+        lo.clock_offset_us = now_us.value() - (send_us + recv_us) / 2;
       }
     }
   }
@@ -467,7 +466,8 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     int64_t begin = 0;  ///< slice range [begin, end) of the full set
     int64_t end = 0;
     int attempts = 0;       ///< transient failures on the current owner
-    bool speculated = false;
+    bool straggled = false;   ///< counted in faults_.stragglers
+    bool speculated = false;  ///< a backup is in flight
     bool done = false;
   };
   std::vector<Task> tasks;
@@ -610,7 +610,9 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
     }
 
     // Straggler detection: dispatch a speculative backup of an old in-flight
-    // block to an idle survivor (first valid response wins).
+    // block to an idle survivor (first valid response wins). A straggler
+    // found while every other link is busy is re-checked on later passes
+    // until a helper frees up.
     if (options_.speculative_execution) {
       for (size_t w = 0; w < links_.size(); ++w) {
         const InFlight& flight = inflight[w];
@@ -621,9 +623,11 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
             static_cast<double>(options_.straggler_after_ms)) {
           continue;
         }
-        ++faults_.stragglers;
-        obs::TraceInstant("dist", "straggler", static_cast<int64_t>(w));
-        task.speculated = true;
+        if (!task.straggled) {
+          task.straggled = true;
+          ++faults_.stragglers;
+          obs::TraceInstant("dist", "straggler", static_cast<int64_t>(w));
+        }
         for (size_t helper = 0; helper < links_.size(); ++helper) {
           Link& candidate = links_[helper];
           if (helper == w || !candidate.alive ||
@@ -633,6 +637,7 @@ StatusOr<core::EvalResult> RemoteSliceEvaluator::Evaluate(
           if (dispatch(helper, static_cast<size_t>(flight.task),
                        /*speculative=*/true)
                   .ok()) {
+            task.speculated = true;
             ++faults_.speculative_reexecutions;
             obs::TraceInstant("dist", "speculative_reexecution",
                               static_cast<int64_t>(helper));

@@ -1,7 +1,10 @@
 #include "obs/json_parse.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace sliceline::obs {
 
@@ -11,6 +14,32 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+namespace {
+
+Status FieldError(const std::string& key, const char* expected) {
+  return Status::InvalidArgument("field '" + key + "' must be " + expected);
+}
+
+Status MissingField(const std::string& key) {
+  return Status::InvalidArgument("missing field '" + key + "'");
+}
+
+}  // namespace
+
+template <typename Int>
+StatusOr<Int> JsonValue::AsInt(const std::string& what) const {
+  // Both bounds are exact doubles (-2^63 and 2^63 for int64_t; kMax is the
+  // first value past max()), so the range is decided before any cast.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<Int>::min());
+  constexpr double kMax = -kMin;
+  if (!is_number() || !(number_ >= kMin && number_ < kMax) ||
+      number_ != std::trunc(number_)) {
+    return FieldError(what, sizeof(Int) == 4 ? "a 32-bit integer"
+                                             : "a 64-bit integer");
+  }
+  return static_cast<Int>(number_);
 }
 
 std::string JsonValue::GetStringOr(const std::string& key,
@@ -26,9 +55,9 @@ double JsonValue::GetNumberOr(const std::string& key, double fallback) const {
 
 int64_t JsonValue::GetIntOr(const std::string& key, int64_t fallback) const {
   const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number())
-             ? static_cast<int64_t>(v->number_value())
-             : fallback;
+  if (v == nullptr) return fallback;
+  StatusOr<int64_t> decoded = v->AsInt(key);
+  return decoded.ok() ? decoded.value() : fallback;
 }
 
 bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
@@ -36,28 +65,124 @@ bool JsonValue::GetBoolOr(const std::string& key, bool fallback) const {
   return (v != nullptr && v->is_bool()) ? v->bool_value() : fallback;
 }
 
+StatusOr<std::string> JsonValue::OptionalString(
+    const std::string& key, const std::string& fallback) const {
+  return Find(key) == nullptr ? fallback : RequireString(key);
+}
+
+StatusOr<double> JsonValue::OptionalNumber(const std::string& key,
+                                           double fallback) const {
+  return Find(key) == nullptr ? fallback : RequireNumber(key);
+}
+
+StatusOr<int64_t> JsonValue::OptionalInt(const std::string& key,
+                                         int64_t fallback) const {
+  const JsonValue* v = Find(key);
+  return v == nullptr ? fallback : v->AsInt(key);
+}
+
+StatusOr<bool> JsonValue::OptionalBool(const std::string& key,
+                                       bool fallback) const {
+  return Find(key) == nullptr ? fallback : RequireBool(key);
+}
+
 StatusOr<std::string> JsonValue::RequireString(const std::string& key) const {
   const JsonValue* v = Find(key);
-  if (v == nullptr || !v->is_string()) {
-    return Status::InvalidArgument("missing or non-string field '" + key +
-                                   "'");
-  }
+  if (v == nullptr) return MissingField(key);
+  if (!v->is_string()) return FieldError(key, "a string");
   return v->string_value();
 }
 
 StatusOr<double> JsonValue::RequireNumber(const std::string& key) const {
   const JsonValue* v = Find(key);
-  if (v == nullptr || !v->is_number()) {
-    return Status::InvalidArgument("missing or non-numeric field '" + key +
-                                   "'");
-  }
+  if (v == nullptr) return MissingField(key);
+  if (!v->is_number()) return FieldError(key, "a number");
   return v->number_value();
 }
 
-StatusOr<int64_t> JsonValue::RequireInt(const std::string& key) const {
-  SLICELINE_ASSIGN_OR_RETURN(const double v, RequireNumber(key));
-  return static_cast<int64_t>(v);
+template <typename Int>
+StatusOr<Int> JsonValue::RequireInt(const std::string& key) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return MissingField(key);
+  return v->AsInt<Int>(key);
 }
+
+StatusOr<bool> JsonValue::RequireBool(const std::string& key) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return MissingField(key);
+  if (!v->is_bool()) return FieldError(key, "a boolean");
+  return v->bool_value();
+}
+
+StatusOr<uint64_t> JsonValue::RequireUint64String(
+    const std::string& key) const {
+  SLICELINE_ASSIGN_OR_RETURN(const std::string text, RequireString(key));
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    return FieldError(key, "a decimal uint64 string");
+  }
+  return value;
+}
+
+StatusOr<const JsonValue*> JsonValue::RequireArray(
+    const std::string& key) const {
+  const JsonValue* v = Find(key);
+  if (v == nullptr) return MissingField(key);
+  if (!v->is_array()) return FieldError(key, "an array");
+  return v;
+}
+
+StatusOr<std::vector<std::string>> JsonValue::RequireStringArray(
+    const std::string& key) const {
+  SLICELINE_ASSIGN_OR_RETURN(const JsonValue* array, RequireArray(key));
+  std::vector<std::string> out;
+  out.reserve(array->array_.size());
+  for (const JsonValue& item : array->array_) {
+    if (!item.is_string()) return FieldError(key, "an array of strings");
+    out.push_back(item.string_);
+  }
+  return out;
+}
+
+StatusOr<std::vector<double>> JsonValue::RequireNumberArray(
+    const std::string& key) const {
+  SLICELINE_ASSIGN_OR_RETURN(const JsonValue* array, RequireArray(key));
+  std::vector<double> out;
+  out.reserve(array->array_.size());
+  for (const JsonValue& item : array->array_) {
+    if (!item.is_number()) return FieldError(key, "an array of numbers");
+    out.push_back(item.number_);
+  }
+  return out;
+}
+
+template <typename Int>
+StatusOr<std::vector<Int>> JsonValue::RequireIntArray(
+    const std::string& key) const {
+  SLICELINE_ASSIGN_OR_RETURN(const JsonValue* array, RequireArray(key));
+  std::vector<Int> out;
+  out.reserve(array->array_.size());
+  for (const JsonValue& item : array->array_) {
+    SLICELINE_ASSIGN_OR_RETURN(const Int value, item.AsInt<Int>(key));
+    out.push_back(value);
+  }
+  return out;
+}
+
+template StatusOr<int32_t> JsonValue::AsInt<int32_t>(
+    const std::string&) const;
+template StatusOr<int64_t> JsonValue::AsInt<int64_t>(
+    const std::string&) const;
+template StatusOr<int32_t> JsonValue::RequireInt<int32_t>(
+    const std::string&) const;
+template StatusOr<int64_t> JsonValue::RequireInt<int64_t>(
+    const std::string&) const;
+template StatusOr<std::vector<int32_t>> JsonValue::RequireIntArray<int32_t>(
+    const std::string&) const;
+template StatusOr<std::vector<int64_t>> JsonValue::RequireIntArray<int64_t>(
+    const std::string&) const;
 
 JsonValue JsonValue::Null() { return JsonValue(); }
 
@@ -99,9 +224,8 @@ JsonValue JsonValue::Object(
 
 namespace {
 
-/// Recursive-descent parser over the same grammar as json_validate.cc, but
-/// building the value tree. Kept separate from the validator so the
-/// zero-allocation validation path stays cheap.
+/// Recursive-descent parser building the value tree; the repo's one strict-
+/// JSON grammar.
 class TreeParser {
  public:
   explicit TreeParser(const std::string& text) : text_(text) {}

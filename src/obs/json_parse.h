@@ -10,12 +10,10 @@
 
 namespace sliceline::obs {
 
-/// Parsed strict-JSON document tree. The grammar accepted is exactly the
-/// one ValidateStrictJson enforces (RFC 8259: no trailing commas, no
-/// NaN/Infinity, no comments), so a document that validates also parses and
-/// vice versa. Objects preserve insertion order; duplicate keys are a parse
-/// error (the wire protocol treats them as malformed requests, and nothing
-/// in this repo emits them).
+/// Parsed strict-JSON document tree: RFC 8259 with no trailing commas, no
+/// NaN/Infinity, no comments, no unpaired \u surrogates. Objects preserve
+/// insertion order; duplicate keys are a parse error (the wire protocols
+/// treat them as malformed requests, and nothing in this repo emits them).
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -41,20 +39,54 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
 
-  // -- typed object-member accessors for protocol decoding ------------------
-  // Get*Or returns the default when the key is absent; Require* returns an
-  // InvalidArgument Status naming the key when it is absent or mistyped
-  // (the wire protocol's structured "invalid_argument" errors come from
-  // these messages).
+  // -- typed decoders --------------------------------------------------------
+  // The one set of field decoders every reader uses: both wire protocols,
+  // the result JSON and the fuzz replay records. An integer decoder accepts
+  // only an integral number inside Int's range (int64_t or int32_t), so no
+  // double is ever cast blindly. Every error is an InvalidArgument naming
+  // the key (the wire protocols' structured "invalid_argument" errors come
+  // from these messages).
+  //
+  //   Get*Or     fallback when the key is absent or does not decode (for
+  //              replies from a peer that is trusted to be well-formed);
+  //   Optional*  fallback when the key is absent, an error when it is
+  //              present but does not decode;
+  //   Require*   an error when the key is absent or does not decode.
+
+  /// This value as an integer; `what` names it in the error.
+  template <typename Int = int64_t>
+  StatusOr<Int> AsInt(const std::string& what) const;
+
   std::string GetStringOr(const std::string& key,
                           const std::string& fallback) const;
   double GetNumberOr(const std::string& key, double fallback) const;
   int64_t GetIntOr(const std::string& key, int64_t fallback) const;
   bool GetBoolOr(const std::string& key, bool fallback) const;
 
+  StatusOr<std::string> OptionalString(const std::string& key,
+                                       const std::string& fallback) const;
+  StatusOr<double> OptionalNumber(const std::string& key,
+                                  double fallback) const;
+  StatusOr<int64_t> OptionalInt(const std::string& key,
+                                int64_t fallback) const;
+  StatusOr<bool> OptionalBool(const std::string& key, bool fallback) const;
+
   StatusOr<std::string> RequireString(const std::string& key) const;
   StatusOr<double> RequireNumber(const std::string& key) const;
-  StatusOr<int64_t> RequireInt(const std::string& key) const;
+  template <typename Int = int64_t>
+  StatusOr<Int> RequireInt(const std::string& key) const;
+  StatusOr<bool> RequireBool(const std::string& key) const;
+  /// 64-bit unsigned values travel as decimal strings: a JSON number is a
+  /// double and cannot hold every uint64_t.
+  StatusOr<uint64_t> RequireUint64String(const std::string& key) const;
+
+  StatusOr<const JsonValue*> RequireArray(const std::string& key) const;
+  StatusOr<std::vector<std::string>> RequireStringArray(
+      const std::string& key) const;
+  StatusOr<std::vector<double>> RequireNumberArray(
+      const std::string& key) const;
+  template <typename Int = int64_t>
+  StatusOr<std::vector<Int>> RequireIntArray(const std::string& key) const;
 
   // -- construction (parser + tests) ----------------------------------------
   static JsonValue Null();
@@ -75,7 +107,8 @@ class JsonValue {
 
 /// Parses exactly one strict-JSON document (trailing whitespace allowed,
 /// anything else after it is an error). Errors carry "<message> at byte
-/// <offset>" like ValidateStrictJson.
+/// <offset>". This is the only JSON grammar in the repo: ValidateStrictJson
+/// and both wire protocols call it.
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace sliceline::obs

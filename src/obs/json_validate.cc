@@ -1,247 +1,12 @@
 #include "obs/json_validate.h"
 
-#include <cctype>
+#include "obs/json_parse.h"
 
 namespace sliceline::obs {
-namespace {
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  bool Validate() {
-    SkipWhitespace();
-    if (!ParseValue()) return false;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing content after JSON document");
-    }
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-  size_t error_pos() const { return error_pos_; }
-
- private:
-  bool Fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message;
-      error_pos_ = pos_;
-    }
-    return false;
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool ParseValue() {
-    if (++depth_ > kMaxDepth) return Fail("nesting too deep");
-    bool ok = ParseValueInner();
-    --depth_;
-    return ok;
-  }
-
-  bool ParseValueInner() {
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"':
-        return ParseString();
-      case 't':
-        return ParseLiteral("true");
-      case 'f':
-        return ParseLiteral("false");
-      case 'n':
-        return ParseLiteral("null");
-      default:
-        return ParseNumber();
-    }
-  }
-
-  bool ParseLiteral(const char* literal) {
-    for (const char* p = literal; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return Fail(std::string("invalid literal, expected ") + literal);
-      }
-      ++pos_;
-    }
-    return true;
-  }
-
-  bool ParseObject() {
-    ++pos_;  // consume '{'
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Fail("expected object key string");
-      }
-      if (!ParseString()) return false;
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Fail("expected ':' after object key");
-      }
-      ++pos_;
-      SkipWhitespace();
-      if (!ParseValue()) return false;
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or '}' in object");
-    }
-  }
-
-  bool ParseArray() {
-    ++pos_;  // consume '['
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (!ParseValue()) return false;
-      SkipWhitespace();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']' in array");
-    }
-  }
-
-  bool ParseString() {
-    ++pos_;  // consume opening quote
-    while (pos_ < text_.size()) {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) return Fail("raw control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("unterminated escape");
-        const char e = text_[pos_];
-        switch (e) {
-          case '"':
-          case '\\':
-          case '/':
-          case 'b':
-          case 'f':
-          case 'n':
-          case 'r':
-          case 't':
-            ++pos_;
-            break;
-          case 'u': {
-            ++pos_;
-            for (int i = 0; i < 4; ++i) {
-              if (pos_ >= text_.size() ||
-                  !std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_]))) {
-                return Fail("invalid \\u escape");
-              }
-              ++pos_;
-            }
-            break;
-          }
-          default:
-            return Fail("invalid escape character");
-        }
-      } else {
-        ++pos_;
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseNumber() {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Fail("invalid number");
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;  // leading zero must not be followed by digits
-    } else {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("expected digits after decimal point");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("expected digits in exponent");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ == start) return Fail("invalid number");
-    return true;
-  }
-
-  static constexpr int kMaxDepth = 512;
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-  std::string error_;
-  size_t error_pos_ = 0;
-};
-
-}  // namespace
 
 std::string ValidateStrictJson(const std::string& text) {
-  Parser parser(text);
-  if (parser.Validate()) return "";
-  return parser.error() + " at byte " + std::to_string(parser.error_pos());
+  const StatusOr<JsonValue> parsed = ParseJson(text);
+  return parsed.ok() ? "" : parsed.status().message();
 }
 
 }  // namespace sliceline::obs

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/json_validate.h"
-
 namespace sliceline::serve {
 
 namespace {
@@ -37,49 +35,6 @@ StatusOr<RunOutcome::Termination> TerminationFromName(
     if (name == TerminationNameOf(t)) return t;
   }
   return Status::InvalidArgument("unknown termination '" + name + "'");
-}
-
-/// Integer-typed object member: accepts any JSON number (the parser stores
-/// numbers as doubles; protocol integers stay well under 2^53).
-StatusOr<int64_t> OptionalInt(const obs::JsonValue& object,
-                              const std::string& key, int64_t fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_number()) {
-    return Status::InvalidArgument("field '" + key + "' must be a number");
-  }
-  return static_cast<int64_t>(member->number_value());
-}
-
-StatusOr<double> OptionalDouble(const obs::JsonValue& object,
-                                const std::string& key, double fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_number()) {
-    return Status::InvalidArgument("field '" + key + "' must be a number");
-  }
-  return member->number_value();
-}
-
-StatusOr<std::string> OptionalString(const obs::JsonValue& object,
-                                     const std::string& key,
-                                     const std::string& fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_string()) {
-    return Status::InvalidArgument("field '" + key + "' must be a string");
-  }
-  return member->string_value();
-}
-
-StatusOr<bool> OptionalBool(const obs::JsonValue& object,
-                            const std::string& key, bool fallback) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr) return fallback;
-  if (!member->is_bool()) {
-    return Status::InvalidArgument("field '" + key + "' must be a boolean");
-  }
-  return member->bool_value();
 }
 
 }  // namespace
@@ -129,23 +84,27 @@ StatusOr<RequestType> RequestTypeFromName(const std::string& name) {
   return Status::InvalidArgument("unknown request type '" + name + "'");
 }
 
-StatusOr<Request> ParseRequest(const std::string& line) {
-  // Validate first so malformed requests get the validator's precise
-  // message; ParseJson accepts exactly the same grammar.
-  const std::string error = obs::ValidateStrictJson(line);
-  if (!error.empty()) {
-    return Status::InvalidArgument("malformed request: " + error);
+StatusOr<obs::JsonValue> ParseRequestObject(const std::string& line) {
+  StatusOr<obs::JsonValue> root = obs::ParseJson(line);
+  if (!root.ok()) {
+    return Status::InvalidArgument("malformed request: " +
+                                   root.status().message());
   }
-  SLICELINE_ASSIGN_OR_RETURN(obs::JsonValue root, obs::ParseJson(line));
-  if (!root.is_object()) {
+  if (!root->is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
+  return root;
+}
+
+StatusOr<Request> ParseRequest(const std::string& line) {
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue root,
+                             ParseRequestObject(line));
 
   Request request;
   SLICELINE_ASSIGN_OR_RETURN(const std::string type_name,
                              root.RequireString("type"));
   SLICELINE_ASSIGN_OR_RETURN(request.type, RequestTypeFromName(type_name));
-  SLICELINE_ASSIGN_OR_RETURN(request.id, OptionalString(root, "id", ""));
+  SLICELINE_ASSIGN_OR_RETURN(request.id, root.OptionalString("id", ""));
 
   switch (request.type) {
     case RequestType::kRegisterDataset: {
@@ -153,19 +112,10 @@ StatusOr<Request> ParseRequest(const std::string& line) {
       SLICELINE_ASSIGN_OR_RETURN(r.name, root.RequireString("name"));
       SLICELINE_ASSIGN_OR_RETURN(r.csv_path, root.RequireString("csv"));
       SLICELINE_ASSIGN_OR_RETURN(r.label, root.RequireString("label"));
-      SLICELINE_ASSIGN_OR_RETURN(r.task, OptionalString(root, "task", "reg"));
-      SLICELINE_ASSIGN_OR_RETURN(r.bins, OptionalInt(root, "bins", 10));
-      if (const obs::JsonValue* drop = root.Find("drop")) {
-        if (!drop->is_array()) {
-          return Status::InvalidArgument("field 'drop' must be an array");
-        }
-        for (const obs::JsonValue& item : drop->array_items()) {
-          if (!item.is_string()) {
-            return Status::InvalidArgument(
-                "field 'drop' must contain only strings");
-          }
-          r.drop.push_back(item.string_value());
-        }
+      SLICELINE_ASSIGN_OR_RETURN(r.task, root.OptionalString("task", "reg"));
+      SLICELINE_ASSIGN_OR_RETURN(r.bins, root.OptionalInt("bins", 10));
+      if (root.Find("drop") != nullptr) {
+        SLICELINE_ASSIGN_OR_RETURN(r.drop, root.RequireStringArray("drop"));
       }
       break;
     }
@@ -173,29 +123,27 @@ StatusOr<Request> ParseRequest(const std::string& line) {
       FindSlicesRequest& f = request.find_slices;
       SLICELINE_ASSIGN_OR_RETURN(f.dataset, root.RequireString("dataset"));
       SLICELINE_ASSIGN_OR_RETURN(f.engine,
-                                 OptionalString(root, "engine", "native"));
-      SLICELINE_ASSIGN_OR_RETURN(f.k, OptionalInt(root, "k", 4));
-      SLICELINE_ASSIGN_OR_RETURN(f.alpha, OptionalDouble(root, "alpha", 0.95));
-      SLICELINE_ASSIGN_OR_RETURN(f.sigma, OptionalInt(root, "sigma", 0));
+                                 root.OptionalString("engine", "native"));
+      SLICELINE_ASSIGN_OR_RETURN(f.k, root.OptionalInt("k", 4));
+      SLICELINE_ASSIGN_OR_RETURN(f.alpha, root.OptionalNumber("alpha", 0.95));
+      SLICELINE_ASSIGN_OR_RETURN(f.sigma, root.OptionalInt("sigma", 0));
       SLICELINE_ASSIGN_OR_RETURN(f.max_level,
-                                 OptionalInt(root, "max_level", 0));
+                                 root.OptionalInt("max_level", 0));
       SLICELINE_ASSIGN_OR_RETURN(f.deadline_ms,
-                                 OptionalInt(root, "deadline_ms", 0));
+                                 root.OptionalInt("deadline_ms", 0));
       SLICELINE_ASSIGN_OR_RETURN(f.memory_budget_mb,
-                                 OptionalInt(root, "memory_budget_mb", 0));
-      SLICELINE_ASSIGN_OR_RETURN(f.wait, OptionalBool(root, "wait", true));
+                                 root.OptionalInt("memory_budget_mb", 0));
+      SLICELINE_ASSIGN_OR_RETURN(f.wait, root.OptionalBool("wait", true));
       break;
     }
     case RequestType::kAppendRows: {
       AppendRowsRequest& a = request.append_rows;
       SLICELINE_ASSIGN_OR_RETURN(a.dataset, root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(a.xfer, OptionalString(root, "xfer", ""));
-      SLICELINE_ASSIGN_OR_RETURN(a.chunk, OptionalInt(root, "chunk", 0));
-      SLICELINE_ASSIGN_OR_RETURN(a.chunks, OptionalInt(root, "chunks", 1));
-      const obs::JsonValue* rows = root.Find("rows");
-      if (rows == nullptr || !rows->is_array()) {
-        return Status::InvalidArgument("append_rows needs a 'rows' array");
-      }
+      SLICELINE_ASSIGN_OR_RETURN(a.xfer, root.OptionalString("xfer", ""));
+      SLICELINE_ASSIGN_OR_RETURN(a.chunk, root.OptionalInt("chunk", 0));
+      SLICELINE_ASSIGN_OR_RETURN(a.chunks, root.OptionalInt("chunks", 1));
+      SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* rows,
+                                 root.RequireArray("rows"));
       for (const obs::JsonValue& row : rows->array_items()) {
         if (!row.is_array()) {
           return Status::InvalidArgument("'rows' entries must be arrays");
@@ -210,33 +158,24 @@ StatusOr<Request> ParseRequest(const std::string& line) {
         }
         a.rows.push_back(std::move(cells));
       }
-      const obs::JsonValue* errors = root.Find("errors");
-      if (errors == nullptr || !errors->is_array()) {
-        return Status::InvalidArgument("append_rows needs an 'errors' array");
-      }
-      for (const obs::JsonValue& error : errors->array_items()) {
-        if (!error.is_number()) {
-          return Status::InvalidArgument("'errors' entries must be numbers");
-        }
-        a.errors.push_back(error.number_value());
-      }
+      SLICELINE_ASSIGN_OR_RETURN(a.errors, root.RequireNumberArray("errors"));
       break;
     }
     case RequestType::kWatchDataset: {
       WatchRequest& w = request.watch;
       SLICELINE_ASSIGN_OR_RETURN(w.dataset, root.RequireString("dataset"));
-      SLICELINE_ASSIGN_OR_RETURN(w.tau, OptionalDouble(root, "tau", 1.0));
+      SLICELINE_ASSIGN_OR_RETURN(w.tau, root.OptionalNumber("tau", 1.0));
       SLICELINE_ASSIGN_OR_RETURN(w.hysteresis,
-                                 OptionalDouble(root, "hysteresis", 0.0));
+                                 root.OptionalNumber("hysteresis", 0.0));
       SLICELINE_ASSIGN_OR_RETURN(w.window_rows,
-                                 OptionalInt(root, "window_rows", 0));
+                                 root.OptionalInt("window_rows", 0));
       SLICELINE_ASSIGN_OR_RETURN(w.window_seconds,
-                                 OptionalDouble(root, "window_seconds", 0.0));
-      SLICELINE_ASSIGN_OR_RETURN(w.k, OptionalInt(root, "k", 4));
-      SLICELINE_ASSIGN_OR_RETURN(w.alpha, OptionalDouble(root, "alpha", 0.95));
-      SLICELINE_ASSIGN_OR_RETURN(w.sigma, OptionalInt(root, "sigma", 0));
+                                 root.OptionalNumber("window_seconds", 0.0));
+      SLICELINE_ASSIGN_OR_RETURN(w.k, root.OptionalInt("k", 4));
+      SLICELINE_ASSIGN_OR_RETURN(w.alpha, root.OptionalNumber("alpha", 0.95));
+      SLICELINE_ASSIGN_OR_RETURN(w.sigma, root.OptionalInt("sigma", 0));
       SLICELINE_ASSIGN_OR_RETURN(w.max_level,
-                                 OptionalInt(root, "max_level", 0));
+                                 root.OptionalInt("max_level", 0));
       break;
     }
     case RequestType::kUnwatchDataset:
@@ -540,23 +479,14 @@ StatusOr<core::SliceLineResult> ParseResultJson(
 
   if (feature_names != nullptr) {
     feature_names->clear();
-    if (const obs::JsonValue* names = value.Find("feature_names")) {
-      if (!names->is_array()) {
-        return Status::InvalidArgument("'feature_names' must be an array");
-      }
-      for (const obs::JsonValue& name : names->array_items()) {
-        if (!name.is_string()) {
-          return Status::InvalidArgument("feature names must be strings");
-        }
-        feature_names->push_back(name.string_value());
-      }
+    if (value.Find("feature_names") != nullptr) {
+      SLICELINE_ASSIGN_OR_RETURN(*feature_names,
+                                 value.RequireStringArray("feature_names"));
     }
   }
 
-  const obs::JsonValue* top_k = value.Find("top_k");
-  if (top_k == nullptr || !top_k->is_array()) {
-    return Status::InvalidArgument("missing 'top_k' array");
-  }
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* top_k,
+                             value.RequireArray("top_k"));
   for (const obs::JsonValue& item : top_k->array_items()) {
     if (!item.is_object()) {
       return Status::InvalidArgument("top_k entries must be objects");
@@ -568,36 +498,30 @@ StatusOr<core::SliceLineResult> ParseResultJson(
     SLICELINE_ASSIGN_OR_RETURN(slice.stats.max_error,
                                item.RequireNumber("max_error"));
     SLICELINE_ASSIGN_OR_RETURN(slice.stats.size, item.RequireInt("size"));
-    const obs::JsonValue* predicates = item.Find("predicates");
-    if (predicates == nullptr || !predicates->is_array()) {
-      return Status::InvalidArgument("missing 'predicates' array");
-    }
+    SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* predicates,
+                               item.RequireArray("predicates"));
     for (const obs::JsonValue& predicate : predicates->array_items()) {
       if (!predicate.is_object()) {
         return Status::InvalidArgument("predicates must be objects");
       }
-      SLICELINE_ASSIGN_OR_RETURN(const int64_t feature,
-                                 predicate.RequireInt("feature"));
-      SLICELINE_ASSIGN_OR_RETURN(const int64_t code,
-                                 predicate.RequireInt("code"));
-      slice.predicates.emplace_back(static_cast<int>(feature),
-                                    static_cast<int32_t>(code));
+      SLICELINE_ASSIGN_OR_RETURN(const int32_t feature,
+                                 predicate.RequireInt<int32_t>("feature"));
+      SLICELINE_ASSIGN_OR_RETURN(const int32_t code,
+                                 predicate.RequireInt<int32_t>("code"));
+      slice.predicates.emplace_back(feature, code);
     }
     result.top_k.push_back(std::move(slice));
   }
 
-  const obs::JsonValue* levels = value.Find("levels");
-  if (levels == nullptr || !levels->is_array()) {
-    return Status::InvalidArgument("missing 'levels' array");
-  }
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* levels,
+                             value.RequireArray("levels"));
   for (const obs::JsonValue& item : levels->array_items()) {
     if (!item.is_object()) {
       return Status::InvalidArgument("levels entries must be objects");
     }
     core::LevelStats level;
-    SLICELINE_ASSIGN_OR_RETURN(const int64_t level_index,
-                               item.RequireInt("level"));
-    level.level = static_cast<int>(level_index);
+    SLICELINE_ASSIGN_OR_RETURN(level.level,
+                               item.RequireInt<int32_t>("level"));
     SLICELINE_ASSIGN_OR_RETURN(level.candidates,
                                item.RequireInt("candidates"));
     SLICELINE_ASSIGN_OR_RETURN(level.valid, item.RequireInt("valid"));

@@ -146,7 +146,13 @@ struct Request {
   std::string dataset;
 };
 
-/// Validates (strict JSON) and decodes one request line.
+/// Parses a request line into its top-level object. This is the one scan a
+/// request line gets: every JSON-level error (syntax, duplicate key) is an
+/// InvalidArgument prefixed "malformed request: ". Shared by ParseRequest
+/// and ParseWorkerRequest.
+StatusOr<obs::JsonValue> ParseRequestObject(const std::string& line);
+
+/// Decodes one request line.
 StatusOr<Request> ParseRequest(const std::string& line);
 
 /// Encodes `request` as one LF-terminated line (client side).

@@ -1,57 +1,12 @@
 #include "serve/worker_protocol.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
-#include "obs/json_validate.h"
 #include "serve/protocol.h"
 
 namespace sliceline::serve {
 
 namespace {
-
-StatusOr<const obs::JsonValue*> RequireArray(const obs::JsonValue& object,
-                                             const std::string& key) {
-  const obs::JsonValue* member = object.Find(key);
-  if (member == nullptr || !member->is_array()) {
-    return Status::InvalidArgument("missing array field '" + key + "'");
-  }
-  return member;
-}
-
-StatusOr<std::vector<double>> ParseDoubleArray(const obs::JsonValue& object,
-                                               const std::string& key) {
-  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* array,
-                             RequireArray(object, key));
-  std::vector<double> out;
-  out.reserve(array->array_items().size());
-  for (const obs::JsonValue& item : array->array_items()) {
-    if (!item.is_number()) {
-      return Status::InvalidArgument("field '" + key +
-                                     "' must contain only numbers");
-    }
-    out.push_back(item.number_value());
-  }
-  return out;
-}
-
-StatusOr<std::vector<int64_t>> ParseIntArray(const obs::JsonValue& object,
-                                             const std::string& key) {
-  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* array,
-                             RequireArray(object, key));
-  std::vector<int64_t> out;
-  out.reserve(array->array_items().size());
-  for (const obs::JsonValue& item : array->array_items()) {
-    if (!item.is_number() ||
-        item.number_value() != std::floor(item.number_value())) {
-      return Status::InvalidArgument("field '" + key +
-                                     "' must contain only integers");
-    }
-    out.push_back(static_cast<int64_t>(item.number_value()));
-  }
-  return out;
-}
 
 void WriteDoubleArray(obs::JsonWriter* writer, const char* key,
                       const std::vector<double>& values) {
@@ -59,31 +14,6 @@ void WriteDoubleArray(obs::JsonWriter* writer, const char* key,
   writer->BeginArray();
   for (double v : values) writer->Double(v);
   writer->EndArray();
-}
-
-/// 64-bit values travel as decimal strings: JSON numbers are doubles on
-/// the wire and cannot represent every uint64_t.
-StatusOr<uint64_t> ParseUint64Text(const std::string& text,
-                                   const char* what) {
-  if (text.empty() || text.size() > 20 ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument(std::string("malformed ") + what + " '" +
-                                   text + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument(std::string("malformed ") + what + " '" +
-                                   text + "'");
-  }
-  return static_cast<uint64_t>(value);
-}
-
-StatusOr<uint64_t> ParseChecksum(const obs::JsonValue& object) {
-  SLICELINE_ASSIGN_OR_RETURN(const std::string text,
-                             object.RequireString("checksum"));
-  return ParseUint64Text(text, "checksum");
 }
 
 }  // namespace
@@ -116,33 +46,28 @@ StatusOr<WorkerRequestType> WorkerRequestTypeFromName(
 }
 
 StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
-  const std::string error = obs::ValidateStrictJson(line);
-  if (!error.empty()) {
-    return Status::InvalidArgument("malformed request: " + error);
-  }
-  SLICELINE_ASSIGN_OR_RETURN(obs::JsonValue root, obs::ParseJson(line));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("request must be a JSON object");
-  }
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue root,
+                             ParseRequestObject(line));
 
   WorkerRequest request;
   SLICELINE_ASSIGN_OR_RETURN(const std::string type_name,
                              root.RequireString("type"));
   SLICELINE_ASSIGN_OR_RETURN(request.type,
                              WorkerRequestTypeFromName(type_name));
-  request.id = root.GetStringOr("id", "");
+  SLICELINE_ASSIGN_OR_RETURN(request.id, root.OptionalString("id", ""));
   if (root.Find("trace") != nullptr) {
-    SLICELINE_ASSIGN_OR_RETURN(const std::string trace_text,
-                               root.RequireString("trace"));
     SLICELINE_ASSIGN_OR_RETURN(request.trace_id,
-                               ParseUint64Text(trace_text, "trace id"));
+                               root.RequireUint64String("trace"));
   }
-  request.parent_span_id = root.GetIntOr("pspan", 0);
+  SLICELINE_ASSIGN_OR_RETURN(request.parent_span_id,
+                             root.OptionalInt("pspan", 0));
 
   switch (request.type) {
-    case WorkerRequestType::kEnlist:
-      request.protocol = root.GetIntOr("protocol", 0);
+    case WorkerRequestType::kEnlist: {
+      SLICELINE_ASSIGN_OR_RETURN(request.protocol,
+                                 root.OptionalInt("protocol", 0));
       break;
+    }
     case WorkerRequestType::kHeartbeat:
     case WorkerRequestType::kGetSpans:
     case WorkerRequestType::kShutdown:
@@ -166,16 +91,12 @@ StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
       SLICELINE_ASSIGN_OR_RETURN(c.chunk_row_begin,
                                  root.RequireInt("chunk_row_begin"));
       SLICELINE_ASSIGN_OR_RETURN(c.cols, root.RequireInt("cols"));
-      SLICELINE_ASSIGN_OR_RETURN(const std::vector<int64_t> codes,
-                                 ParseIntArray(root, "codes"));
-      c.codes.reserve(codes.size());
-      for (int64_t code : codes) c.codes.push_back(static_cast<int32_t>(code));
-      SLICELINE_ASSIGN_OR_RETURN(c.errors, ParseDoubleArray(root, "errors"));
+      SLICELINE_ASSIGN_OR_RETURN(c.codes,
+                                 root.RequireIntArray<int32_t>("codes"));
+      SLICELINE_ASSIGN_OR_RETURN(c.errors, root.RequireNumberArray("errors"));
       if (root.Find("fdom") != nullptr) {
-        SLICELINE_ASSIGN_OR_RETURN(const std::vector<int64_t> fdom,
-                                   ParseIntArray(root, "fdom"));
-        c.fdom.reserve(fdom.size());
-        for (int64_t d : fdom) c.fdom.push_back(static_cast<int32_t>(d));
+        SLICELINE_ASSIGN_OR_RETURN(c.fdom,
+                                   root.RequireIntArray<int32_t>("fdom"));
       }
       break;
     }
@@ -183,10 +104,12 @@ StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
       SLICELINE_ASSIGN_OR_RETURN(request.dataset_hash,
                                  root.RequireString("dataset"));
       SLICELINE_ASSIGN_OR_RETURN(request.shard, root.RequireInt("shard"));
-      request.strategy = root.GetStringOr("strategy", "index");
-      request.block_size = root.GetIntOr("block_size", 16);
+      SLICELINE_ASSIGN_OR_RETURN(request.strategy,
+                                 root.OptionalString("strategy", "index"));
+      SLICELINE_ASSIGN_OR_RETURN(request.block_size,
+                                 root.OptionalInt("block_size", 16));
       SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* slices,
-                                 RequireArray(root, "slices"));
+                                 root.RequireArray("slices"));
       for (const obs::JsonValue& slice : slices->array_items()) {
         if (!slice.is_array()) {
           return Status::InvalidArgument(
@@ -195,12 +118,9 @@ StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line) {
         std::vector<int64_t> columns;
         columns.reserve(slice.array_items().size());
         for (const obs::JsonValue& column : slice.array_items()) {
-          if (!column.is_number() ||
-              column.number_value() != std::floor(column.number_value())) {
-            return Status::InvalidArgument(
-                "slice column ids must be integers");
-          }
-          columns.push_back(static_cast<int64_t>(column.number_value()));
+          SLICELINE_ASSIGN_OR_RETURN(const int64_t id,
+                                     column.AsInt("slice column id"));
+          columns.push_back(id);
         }
         request.slices.Add(columns);
       }
@@ -316,12 +236,13 @@ StatusOr<core::EvalResult> ParseEvalPayload(const obs::JsonValue& response,
                                             uint64_t* checksum) {
   core::EvalResult result;
   SLICELINE_ASSIGN_OR_RETURN(result.sizes,
-                             ParseDoubleArray(response, "sizes"));
+                             response.RequireNumberArray("sizes"));
   SLICELINE_ASSIGN_OR_RETURN(result.error_sums,
-                             ParseDoubleArray(response, "error_sums"));
+                             response.RequireNumberArray("error_sums"));
   SLICELINE_ASSIGN_OR_RETURN(result.max_errors,
-                             ParseDoubleArray(response, "max_errors"));
-  SLICELINE_ASSIGN_OR_RETURN(*checksum, ParseChecksum(response));
+                             response.RequireNumberArray("max_errors"));
+  SLICELINE_ASSIGN_OR_RETURN(*checksum,
+                             response.RequireUint64String("checksum"));
   return result;
 }
 
@@ -345,11 +266,11 @@ StatusOr<ShardBasicStats> ParseBasicStatsPayload(
   SLICELINE_ASSIGN_OR_RETURN(stats.n, response.RequireInt("n"));
   SLICELINE_ASSIGN_OR_RETURN(stats.total_error,
                              response.RequireNumber("total_error"));
-  SLICELINE_ASSIGN_OR_RETURN(stats.sizes, ParseIntArray(response, "sizes"));
+  SLICELINE_ASSIGN_OR_RETURN(stats.sizes, response.RequireIntArray("sizes"));
   SLICELINE_ASSIGN_OR_RETURN(stats.error_sums,
-                             ParseDoubleArray(response, "error_sums"));
+                             response.RequireNumberArray("error_sums"));
   SLICELINE_ASSIGN_OR_RETURN(stats.max_errors,
-                             ParseDoubleArray(response, "max_errors"));
+                             response.RequireNumberArray("max_errors"));
   if (stats.sizes.size() != stats.error_sums.size() ||
       stats.sizes.size() != stats.max_errors.size()) {
     return Status::InvalidArgument("basic stats arrays disagree on length");
@@ -412,7 +333,7 @@ Status ParseSpansPayload(
     const obs::JsonValue& response, std::vector<obs::RemoteSpan>* spans,
     std::vector<std::pair<std::string, double>>* counters) {
   SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* span_array,
-                             RequireArray(response, "spans"));
+                             response.RequireArray("spans"));
   spans->clear();
   spans->reserve(span_array->array_items().size());
   for (const obs::JsonValue& item : span_array->array_items()) {
@@ -437,16 +358,14 @@ Status ParseSpansPayload(
     }
     span.detail = item.GetStringOr("detail", "");
     if (item.Find("trace") != nullptr) {
-      SLICELINE_ASSIGN_OR_RETURN(const std::string trace_text,
-                                 item.RequireString("trace"));
       SLICELINE_ASSIGN_OR_RETURN(span.trace_id,
-                                 ParseUint64Text(trace_text, "trace id"));
+                                 item.RequireUint64String("trace"));
     }
     span.parent_span_id = item.GetIntOr("pspan", 0);
     spans->push_back(std::move(span));
   }
   SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue* counter_array,
-                             RequireArray(response, "counters"));
+                             response.RequireArray("counters"));
   counters->clear();
   counters->reserve(counter_array->array_items().size());
   for (const obs::JsonValue& item : counter_array->array_items()) {

@@ -110,7 +110,7 @@ struct WorkerRequest {
   int64_t block_size = 16;         ///< scan-shared block size b
 };
 
-/// Validates (strict JSON) and decodes one worker request line.
+/// Decodes one worker request line (one ParseRequestObject scan).
 StatusOr<WorkerRequest> ParseWorkerRequest(const std::string& line);
 
 /// Encodes `request` as one LF-terminated line (coordinator side).

@@ -1,378 +1,196 @@
 #include "testing/replay.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "common/checked_math.h"
+#include "obs/json_parse.h"
+#include "obs/json_writer.h"
+
 namespace sliceline::testing {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
+using EvalStrategy = core::SliceLineConfig::EvalStrategy;
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-const char* StrategyName(core::SliceLineConfig::EvalStrategy s) {
-  switch (s) {
-    case core::SliceLineConfig::EvalStrategy::kIndex: return "index";
-    case core::SliceLineConfig::EvalStrategy::kScanBlock: return "scan-block";
-    case core::SliceLineConfig::EvalStrategy::kBitset: return "bitset";
-  }
-  return "index";
-}
-
-// ---------------------------------------------------------------------------
-// Parser: the minimal JSON subset the writer emits (one object, nested
-// "config" object, flat number arrays, escaped strings, bools).
-// ---------------------------------------------------------------------------
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Status Fail(const std::string& what) {
-    std::ostringstream os;
-    os << what << " at offset " << pos_;
-    return Status::InvalidArgument(os.str());
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return Fail("expected string");
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("dangling escape");
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-            else return Fail("bad \\u escape");
-          }
-          if (value > 0x7f) return Fail("non-ASCII \\u escape unsupported");
-          out->push_back(static_cast<char>(value));
-          break;
-        }
-        default: return Fail("unknown escape");
-      }
-    }
-    if (!Consume('"')) return Fail("unterminated string");
-    return Status::OK();
-  }
-
-  Status ParseDouble(double* out) {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected number");
-    // A separate null-terminated copy keeps strtod off the document tail.
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    *out = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Fail("malformed number");
-    return Status::OK();
-  }
-
-  Status ParseInt(int64_t* out) {
-    double d = 0.0;
-    auto status = ParseDouble(&d);
-    if (!status.ok()) return status;
-    *out = static_cast<int64_t>(d);
-    if (static_cast<double>(*out) != d) return Fail("expected integer");
-    return Status::OK();
-  }
-
-  Status ParseUint64(uint64_t* out) {
-    // Seeds use the full 64-bit range, which a double cannot hold; they are
-    // written as decimal strings.
-    std::string s;
-    auto status = ParseString(&s);
-    if (!status.ok()) return status;
-    if (s.empty()) return Fail("empty seed");
-    uint64_t value = 0;
-    for (char c : s) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) {
-        return Fail("non-decimal seed");
-      }
-      value = value * 10 + static_cast<uint64_t>(c - '0');
-    }
-    *out = value;
-    return Status::OK();
-  }
-
-  Status ParseBool(bool* out) {
-    SkipSpace();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      *out = true;
-      return Status::OK();
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      *out = false;
-      return Status::OK();
-    }
-    return Fail("expected bool");
-  }
-
-  Status ParseDoubleArray(std::vector<double>* out) {
-    out->clear();
-    if (!Consume('[')) return Fail("expected array");
-    if (Consume(']')) return Status::OK();
-    for (;;) {
-      double v = 0.0;
-      auto status = ParseDouble(&v);
-      if (!status.ok()) return status;
-      out->push_back(v);
-      if (Consume(']')) return Status::OK();
-      if (!Consume(',')) return Fail("expected , or ] in array");
-    }
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
+constexpr std::pair<EvalStrategy, const char*> kStrategyNames[] = {
+    {EvalStrategy::kIndex, "index"},
+    {EvalStrategy::kScanBlock, "scan-block"},
+    {EvalStrategy::kBitset, "bitset"},
 };
 
-Status ParseConfig(JsonParser* p, core::SliceLineConfig* config) {
-  if (!p->Consume('{')) return p->Fail("expected config object");
-  bool first = true;
-  while (!p->Consume('}')) {
-    if (!first && !p->Consume(',')) return p->Fail("expected , in config");
-    first = false;
-    std::string key;
-    auto status = p->ParseString(&key);
-    if (!status.ok()) return status;
-    if (!p->Consume(':')) return p->Fail("expected : in config");
-    if (key == "k") {
-      int64_t v = 0;
-      if (auto s = p->ParseInt(&v); !s.ok()) return s;
-      config->k = static_cast<int>(v);
-    } else if (key == "alpha") {
-      if (auto s = p->ParseDouble(&config->alpha); !s.ok()) return s;
-    } else if (key == "min_support") {
-      if (auto s = p->ParseInt(&config->min_support); !s.ok()) return s;
-    } else if (key == "max_level") {
-      int64_t v = 0;
-      if (auto s = p->ParseInt(&v); !s.ok()) return s;
-      config->max_level = static_cast<int>(v);
-    } else if (key == "prune_size") {
-      if (auto s = p->ParseBool(&config->prune_size); !s.ok()) return s;
-    } else if (key == "prune_score") {
-      if (auto s = p->ParseBool(&config->prune_score); !s.ok()) return s;
-    } else if (key == "prune_parents") {
-      if (auto s = p->ParseBool(&config->prune_parents); !s.ok()) return s;
-    } else if (key == "deduplicate") {
-      if (auto s = p->ParseBool(&config->deduplicate); !s.ok()) return s;
-    } else if (key == "eval_strategy") {
-      std::string name;
-      if (auto s = p->ParseString(&name); !s.ok()) return s;
-      if (name == "index") {
-        config->eval_strategy = core::SliceLineConfig::EvalStrategy::kIndex;
-      } else if (name == "scan-block") {
-        config->eval_strategy = core::SliceLineConfig::EvalStrategy::kScanBlock;
-      } else if (name == "bitset") {
-        config->eval_strategy = core::SliceLineConfig::EvalStrategy::kBitset;
-      } else {
-        return Status::InvalidArgument("unknown eval_strategy: " + name);
-      }
-    } else if (key == "eval_block_size") {
-      int64_t v = 0;
-      if (auto s = p->ParseInt(&v); !s.ok()) return s;
-      config->eval_block_size = static_cast<int>(v);
-    } else if (key == "parallel") {
-      if (auto s = p->ParseBool(&config->parallel); !s.ok()) return s;
-    } else {
-      return Status::InvalidArgument("unknown config key: " + key);
+/// Version skew must be loud: a key this build does not know is an error.
+Status RejectUnknownKeys(const obs::JsonValue& object,
+                         std::initializer_list<const char*> known,
+                         const char* what) {
+  for (const auto& [key, value] : object.object_items()) {
+    if (std::none_of(known.begin(), known.end(),
+                     [&](const char* k) { return key == k; })) {
+      return Status::InvalidArgument(std::string("unknown ") + what + ": " +
+                                     key);
     }
   }
+  return Status::OK();
+}
+
+void WriteConfig(obs::JsonWriter* w, const core::SliceLineConfig& c) {
+  w->BeginObject();
+  w->Key("k");
+  w->Int(c.k);
+  w->Key("alpha");
+  w->Double(c.alpha);
+  w->Key("min_support");
+  w->Int(c.min_support);
+  w->Key("max_level");
+  w->Int(c.max_level);
+  w->Key("prune_size");
+  w->Bool(c.prune_size);
+  w->Key("prune_score");
+  w->Bool(c.prune_score);
+  w->Key("prune_parents");
+  w->Bool(c.prune_parents);
+  w->Key("deduplicate");
+  w->Bool(c.deduplicate);
+  w->Key("eval_strategy");
+  for (const auto& [strategy, name] : kStrategyNames) {
+    if (strategy == c.eval_strategy) w->String(name);
+  }
+  w->Key("eval_block_size");
+  w->Int(c.eval_block_size);
+  w->Key("parallel");
+  w->Bool(c.parallel);
+  w->EndObject();
+}
+
+Status ParseConfig(const obs::JsonValue& object,
+                   core::SliceLineConfig* config) {
+  if (!object.is_object()) {
+    return Status::InvalidArgument("field 'config' must be an object");
+  }
+  SLICELINE_RETURN_NOT_OK(RejectUnknownKeys(
+      object,
+      {"k", "alpha", "min_support", "max_level", "prune_size", "prune_score",
+       "prune_parents", "deduplicate", "eval_strategy", "eval_block_size",
+       "parallel"},
+      "config key"));
+  SLICELINE_ASSIGN_OR_RETURN(config->k, object.RequireInt<int32_t>("k"));
+  SLICELINE_ASSIGN_OR_RETURN(config->alpha, object.RequireNumber("alpha"));
+  SLICELINE_ASSIGN_OR_RETURN(config->min_support,
+                             object.RequireInt("min_support"));
+  SLICELINE_ASSIGN_OR_RETURN(config->max_level,
+                             object.RequireInt<int32_t>("max_level"));
+  SLICELINE_ASSIGN_OR_RETURN(config->prune_size,
+                             object.RequireBool("prune_size"));
+  SLICELINE_ASSIGN_OR_RETURN(config->prune_score,
+                             object.RequireBool("prune_score"));
+  SLICELINE_ASSIGN_OR_RETURN(config->prune_parents,
+                             object.RequireBool("prune_parents"));
+  SLICELINE_ASSIGN_OR_RETURN(config->deduplicate,
+                             object.RequireBool("deduplicate"));
+  SLICELINE_ASSIGN_OR_RETURN(const std::string strategy,
+                             object.RequireString("eval_strategy"));
+  const auto* named = std::find_if(
+      std::begin(kStrategyNames), std::end(kStrategyNames),
+      [&](const auto& entry) { return strategy == entry.second; });
+  if (named == std::end(kStrategyNames)) {
+    return Status::InvalidArgument("unknown eval_strategy: " + strategy);
+  }
+  config->eval_strategy = named->first;
+  SLICELINE_ASSIGN_OR_RETURN(config->eval_block_size,
+                             object.RequireInt<int32_t>("eval_block_size"));
+  SLICELINE_ASSIGN_OR_RETURN(config->parallel, object.RequireBool("parallel"));
   return Status::OK();
 }
 
 }  // namespace
 
 std::string ReplayToJson(const ReplayRecord& record) {
-  const core::SliceLineConfig& c = record.fuzz_case.config;
-  std::string out = "{\n  \"check\": ";
-  AppendEscaped(&out, record.check);
-  out += ",\n  \"failure\": ";
-  AppendEscaped(&out, record.failure);
-  out += ",\n  \"case_index\": " + std::to_string(record.case_index);
-  out += ",\n  \"kernel_rounds\": " + std::to_string(record.kernel_rounds);
-  out += ",\n  \"seed\": \"" + std::to_string(record.fuzz_case.seed) + "\"";
-  out += ",\n  \"profile\": ";
-  AppendEscaped(&out, record.fuzz_case.profile);
-  out += ",\n  \"rows\": " + std::to_string(record.fuzz_case.x0.rows());
-  out += ",\n  \"cols\": " + std::to_string(record.fuzz_case.x0.cols());
-  out += ",\n  \"x0\": [";
-  const data::IntMatrix& x0 = record.fuzz_case.x0;
-  for (int64_t i = 0; i < x0.rows() * x0.cols(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(x0.data()[i]);
-  }
-  out += "],\n  \"errors\": [";
-  for (size_t i = 0; i < record.fuzz_case.errors.size(); ++i) {
-    if (i > 0) out += ",";
-    AppendDouble(&out, record.fuzz_case.errors[i]);
-  }
-  out += "],\n  \"config\": {\"k\": " + std::to_string(c.k);
-  out += ", \"alpha\": ";
-  AppendDouble(&out, c.alpha);
-  out += ", \"min_support\": " + std::to_string(c.min_support);
-  out += ", \"max_level\": " + std::to_string(c.max_level);
-  out += std::string(", \"prune_size\": ") + (c.prune_size ? "true" : "false");
-  out += std::string(", \"prune_score\": ") + (c.prune_score ? "true" : "false");
-  out += std::string(", \"prune_parents\": ") +
-         (c.prune_parents ? "true" : "false");
-  out += std::string(", \"deduplicate\": ") + (c.deduplicate ? "true" : "false");
-  out += std::string(", \"eval_strategy\": \"") + StrategyName(c.eval_strategy) +
-         "\"";
-  out += ", \"eval_block_size\": " + std::to_string(c.eval_block_size);
-  out += std::string(", \"parallel\": ") + (c.parallel ? "true" : "false");
-  out += "}\n}\n";
-  return out;
+  const FuzzCase& fuzz_case = record.fuzz_case;
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.BeginObject();
+  w.Key("check");
+  w.String(record.check);
+  w.Key("failure");
+  w.String(record.failure);
+  w.Key("case_index");
+  w.Uint(record.case_index);
+  w.Key("kernel_rounds");
+  w.Int(record.kernel_rounds);
+  w.Key("seed");
+  w.String(std::to_string(fuzz_case.seed));
+  w.Key("profile");
+  w.String(fuzz_case.profile);
+  w.Key("rows");
+  w.Int(fuzz_case.x0.rows());
+  w.Key("cols");
+  w.Int(fuzz_case.x0.cols());
+  w.Key("x0");
+  w.BeginArray();
+  for (int32_t code : fuzz_case.x0.data()) w.Int(code);
+  w.EndArray();
+  w.Key("errors");
+  w.BeginArray();
+  for (double e : fuzz_case.errors) w.Double(e);
+  w.EndArray();
+  w.Key("config");
+  WriteConfig(&w, fuzz_case.config);
+  w.EndObject();
+  os << '\n';
+  return os.str();
 }
 
 StatusOr<ReplayRecord> ReplayFromJson(const std::string& json) {
-  JsonParser p(json);
+  SLICELINE_ASSIGN_OR_RETURN(const obs::JsonValue root, obs::ParseJson(json));
+  if (!root.is_object()) {
+    return Status::InvalidArgument("replay must be a JSON object");
+  }
+  SLICELINE_RETURN_NOT_OK(RejectUnknownKeys(
+      root,
+      {"check", "failure", "case_index", "kernel_rounds", "seed", "profile",
+       "rows", "cols", "x0", "errors", "config"},
+      "replay key"));
   ReplayRecord record;
-  int64_t rows = -1;
-  int64_t cols = -1;
-  std::vector<double> x0_flat;
-  if (!p.Consume('{')) return p.Fail("expected top-level object");
-  bool first = true;
-  while (!p.Consume('}')) {
-    if (!first && !p.Consume(',')) return p.Fail("expected , in object");
-    first = false;
-    std::string key;
-    if (auto s = p.ParseString(&key); !s.ok()) return s;
-    if (!p.Consume(':')) return p.Fail("expected :");
-    if (key == "check") {
-      if (auto s = p.ParseString(&record.check); !s.ok()) return s;
-    } else if (key == "failure") {
-      if (auto s = p.ParseString(&record.failure); !s.ok()) return s;
-    } else if (key == "case_index") {
-      int64_t v = 0;
-      if (auto s = p.ParseInt(&v); !s.ok()) return s;
-      record.case_index = static_cast<uint64_t>(v);
-    } else if (key == "kernel_rounds") {
-      int64_t v = 0;
-      if (auto s = p.ParseInt(&v); !s.ok()) return s;
-      record.kernel_rounds = static_cast<int>(v);
-    } else if (key == "seed") {
-      if (auto s = p.ParseUint64(&record.fuzz_case.seed); !s.ok()) return s;
-    } else if (key == "profile") {
-      if (auto s = p.ParseString(&record.fuzz_case.profile); !s.ok()) return s;
-    } else if (key == "rows") {
-      if (auto s = p.ParseInt(&rows); !s.ok()) return s;
-    } else if (key == "cols") {
-      if (auto s = p.ParseInt(&cols); !s.ok()) return s;
-    } else if (key == "x0") {
-      if (auto s = p.ParseDoubleArray(&x0_flat); !s.ok()) return s;
-    } else if (key == "errors") {
-      if (auto s = p.ParseDoubleArray(&record.fuzz_case.errors); !s.ok()) {
-        return s;
-      }
-    } else if (key == "config") {
-      if (auto s = ParseConfig(&p, &record.fuzz_case.config); !s.ok()) return s;
-    } else {
-      return Status::InvalidArgument("unknown replay key: " + key);
-    }
+  FuzzCase& fuzz_case = record.fuzz_case;
+  SLICELINE_ASSIGN_OR_RETURN(record.check, root.RequireString("check"));
+  SLICELINE_ASSIGN_OR_RETURN(record.failure, root.RequireString("failure"));
+  SLICELINE_ASSIGN_OR_RETURN(const int64_t case_index,
+                             root.RequireInt("case_index"));
+  if (case_index < 0) {
+    return Status::InvalidArgument("case_index must be >= 0");
   }
-  if (!p.AtEnd()) return p.Fail("trailing garbage");
-  if (rows < 0 || cols < 0) {
-    return Status::InvalidArgument("replay missing rows/cols");
-  }
-  if (static_cast<int64_t>(x0_flat.size()) != rows * cols) {
+  record.case_index = static_cast<uint64_t>(case_index);
+  SLICELINE_ASSIGN_OR_RETURN(record.kernel_rounds,
+                             root.RequireInt<int32_t>("kernel_rounds"));
+  SLICELINE_ASSIGN_OR_RETURN(fuzz_case.seed,
+                             root.RequireUint64String("seed"));
+  SLICELINE_ASSIGN_OR_RETURN(fuzz_case.profile, root.RequireString("profile"));
+  SLICELINE_ASSIGN_OR_RETURN(const int64_t rows, root.RequireInt("rows"));
+  SLICELINE_ASSIGN_OR_RETURN(const int64_t cols, root.RequireInt("cols"));
+  int64_t cells = 0;
+  SLICELINE_RETURN_NOT_OK(
+      CheckedElementCount(rows, cols, sizeof(int32_t), &cells));
+  SLICELINE_ASSIGN_OR_RETURN(const std::vector<int32_t> x0,
+                             root.RequireIntArray<int32_t>("x0"));
+  if (static_cast<int64_t>(x0.size()) != cells) {
     return Status::InvalidArgument("x0 length != rows * cols");
   }
+  SLICELINE_ASSIGN_OR_RETURN(fuzz_case.errors,
+                             root.RequireNumberArray("errors"));
   if (record.check != "kernel" &&
-      static_cast<int64_t>(record.fuzz_case.errors.size()) != rows) {
+      static_cast<int64_t>(fuzz_case.errors.size()) != rows) {
     return Status::InvalidArgument("errors length != rows");
   }
-  data::IntMatrix x0(rows, cols);
-  for (int64_t i = 0; i < rows * cols; ++i) {
-    const auto code = static_cast<int32_t>(x0_flat[i]);
-    if (static_cast<double>(code) != x0_flat[i]) {
-      return Status::InvalidArgument("non-integer x0 entry");
-    }
-    x0.At(i / cols, i % cols) = code;
+  const obs::JsonValue* config = root.Find("config");
+  if (config == nullptr) {
+    return Status::InvalidArgument("missing field 'config'");
   }
-  record.fuzz_case.x0 = std::move(x0);
+  SLICELINE_RETURN_NOT_OK(ParseConfig(*config, &fuzz_case.config));
+  fuzz_case.x0 = data::IntMatrix(rows, cols);
+  std::copy(x0.begin(), x0.end(), fuzz_case.x0.row(0));
   return record;
 }
 

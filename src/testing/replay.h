@@ -21,12 +21,13 @@ struct ReplayRecord {
   FuzzCase fuzz_case;
 };
 
-/// Serializes to a stable, human-readable JSON document. Doubles are printed
-/// with 17 significant digits so the parse round-trips bit-exactly.
+/// Serializes to one line of strict JSON (obs::JsonWriter). Doubles are
+/// printed with 17 significant digits so the parse round-trips bit-exactly.
 std::string ReplayToJson(const ReplayRecord& record);
 
-/// Parses a document produced by ReplayToJson (strict field set; unknown
-/// keys rejected so version skew is loud, not silent).
+/// Parses a document produced by ReplayToJson with obs::ParseJson (strict
+/// field set: every key required, unknown keys rejected so version skew is
+/// loud, not silent; integers must be integral and in range).
 StatusOr<ReplayRecord> ReplayFromJson(const std::string& json);
 
 /// File convenience wrappers.

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "core/sliceline.h"
-
 namespace sliceline::core {
 namespace {
 
@@ -68,55 +65,6 @@ TEST(AnalyzeSlicesTest, EmptyInput) {
   SliceAnalysis analysis = AnalyzeSlices({}, x0, errors);
   EXPECT_EQ(analysis.covered_rows, 0);
   EXPECT_TRUE(analysis.pairwise_jaccard.empty());
-}
-
-TEST(ResultToJsonTest, WellFormedOutput) {
-  Rng rng(5);
-  data::IntMatrix x0(300, 3);
-  std::vector<double> errors(300);
-  for (int64_t i = 0; i < 300; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      x0.At(i, j) = static_cast<int32_t>(rng.NextUint64(3)) + 1;
-    }
-    errors[i] = rng.NextBool(0.3) ? 1.0 : 0.0;
-  }
-  SliceLineConfig config;
-  config.k = 3;
-  config.min_support = 10;
-  auto result = RunSliceLine(x0, errors, config);
-  ASSERT_TRUE(result.ok());
-  const std::string json = ResultToJson(*result, {"alpha", "beta", "gamma"});
-  EXPECT_NE(json.find("\"slices\""), std::string::npos);
-  EXPECT_NE(json.find("\"levels\""), std::string::npos);
-  EXPECT_NE(json.find("\"min_support\": 10"), std::string::npos);
-  if (!result->top_k.empty()) {
-    EXPECT_NE(json.find("\"feature\": \""), std::string::npos);
-  }
-  // Balanced braces/brackets (cheap well-formedness check).
-  int braces = 0;
-  int brackets = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    braces += c == '{';
-    braces -= c == '}';
-    brackets += c == '[';
-    brackets -= c == ']';
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-}
-
-TEST(ResultToJsonTest, EscapesFeatureNames) {
-  SliceLineResult result;
-  Slice s;
-  s.predicates = {{0, 1}};
-  s.stats = {1.0, 1.0, 1.0, 10};
-  result.top_k.push_back(s);
-  const std::string json = ResultToJson(result, {"weird\"name"});
-  EXPECT_NE(json.find("weird\\\"name"), std::string::npos);
 }
 
 }  // namespace

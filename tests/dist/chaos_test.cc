@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,8 +128,9 @@ class ChaosTest : public ::testing::Test {
  protected:
   static constexpr int kWorkers = 4;
 
-  void StartFleet(const std::vector<std::string>& extra = {}) {
-    for (int i = 0; i < kWorkers; ++i) {
+  void StartFleet(const std::vector<std::string>& extra = {},
+                  int workers = kWorkers) {
+    for (int i = 0; i < workers; ++i) {
       auto worker = std::make_unique<WorkerProcess>();
       ASSERT_TRUE(worker->Start(0, extra)) << "worker " << i;
       fleet_.push_back(std::move(worker));
@@ -239,6 +242,64 @@ TEST_F(ChaosTest, SuspendedStragglerIsMaskedBySpeculation) {
 
   EXPECT_GT((*eval)->faults().stragglers, 0);
   EXPECT_GT((*eval)->faults().speculative_reexecutions, 0);
+  EXPECT_FALSE((*eval)->faults().fallback_local);
+  ExpectBitIdentical(*result, *local);
+}
+
+TEST_F(ChaosTest, StragglerFoundWhileEveryWorkerIsBusyGetsABackup) {
+  ChaosInput input = MakeDyadicInput(307, 600, 5, 4);
+  core::SliceLineConfig config;
+  config.k = 6;
+  config.min_support = 15;
+  auto local = core::RunSliceLine(input.x0, input.errors, config);
+  ASSERT_TRUE(local.ok());
+
+  StartFleet({}, /*workers=*/2);
+  RemoteDistOptions options = Options();
+  options.max_block_slices = 1 << 20;  // one block per shard
+  options.straggler_after_ms = 20;
+  options.request_timeout_ms = 10000;
+  options.max_retries = 0;  // without a backup: one timeout, then a reshard
+  auto eval = RemoteSliceEvaluator::Create(input.x0, input.errors, options);
+  ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+
+  // Round 1: worker 0 is wedged for the whole round, worker 1 only until
+  // both in-flight blocks are old enough to be stragglers. So both are
+  // detected while no worker is idle; once worker 1 answers, it must take
+  // a backup of worker 0's block instead of the round waiting for the
+  // request timeout.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point round1_start;
+  Clock::time_point round1_end;
+  std::thread release;
+  (*eval)->set_round_hook([&](int64_t round) {
+    if (round == 1) {
+      fleet_[0]->Suspend();
+      fleet_[1]->Suspend();
+      round1_start = Clock::now();
+      release = std::thread([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        fleet_[1]->Resume();
+      });
+    } else if (round == 2) {
+      round1_end = Clock::now();
+      fleet_[0]->Resume();
+    }
+  });
+  auto result = core::RunSliceLineWithBackend(**eval, config);
+  if (round1_end == Clock::time_point()) round1_end = Clock::now();
+  if (release.joinable()) release.join();
+  fleet_[0]->Resume();
+  fleet_[1]->Resume();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(round1_start, Clock::time_point()) << "round 1 never ran";
+
+  EXPECT_GE((*eval)->faults().stragglers, 2);
+  EXPECT_GE((*eval)->faults().speculative_reexecutions, 1);
+  const double round1_ms =
+      std::chrono::duration<double, std::milli>(round1_end - round1_start)
+          .count();
+  EXPECT_LT(round1_ms, options.request_timeout_ms / 2);
   EXPECT_FALSE((*eval)->faults().fallback_local);
   ExpectBitIdentical(*result, *local);
 }

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "core/sliceline.h"
 #include "data/int_matrix.h"
+#include "obs/json_parse.h"
 #include "obs/json_validate.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -234,6 +235,19 @@ TEST_F(RunReportTest, ValidatorRejectsMalformedDocuments) {
   EXPECT_NE(ValidateStrictJson("{\"a\":1} trailing"), "");
   EXPECT_NE(ValidateStrictJson("{\"a\":NaN}"), "");
   EXPECT_EQ(ValidateStrictJson(" {\"a\":[1,2.5,-3e2,null,true]} \n"), "");
+}
+
+TEST_F(RunReportTest, ValidatorAndParserAcceptTheSameDocuments) {
+  // Duplicate keys and unpaired UTF-16 surrogates are not strict JSON; the
+  // validator and the parser must agree on every one of them.
+  for (const char* text : {"{\"a\":1,\"a\":2}", "\"\\uD800\"", "\"\\uDC00x\"",
+                           "\"\\uD800A\""}) {
+    EXPECT_NE(ValidateStrictJson(text), "") << text;
+    EXPECT_FALSE(ParseJson(text).ok()) << text;
+  }
+  // A paired surrogate is fine for both.
+  EXPECT_EQ(ValidateStrictJson("\"\\uD83D\\uDE00\""), "");
+  EXPECT_TRUE(ParseJson("\"\\uD83D\\uDE00\"").ok());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Wire-protocol round trips: request encode/decode, structured error
-// mapping, and the exact (bit-for-bit double) result serialization that
-// lets a client reproduce core::FormatResult output from a response.
+// Wire-protocol round trips: request encode/decode (client and worker
+// protocols), structured error mapping, and the exact (bit-for-bit double)
+// result serialization that lets a client reproduce core::FormatResult
+// output from a response.
 #include "serve/protocol.h"
 
 #include <gtest/gtest.h>
@@ -9,10 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/report.h"
+#include "core/sliceline.h"
 #include "obs/json_parse.h"
 #include "obs/json_validate.h"
 #include "obs/json_writer.h"
+#include "serve/worker_protocol.h"
 
 namespace sliceline::serve {
 namespace {
@@ -144,12 +148,68 @@ TEST(ServeProtocolTest, MalformedRequestsAreRejected) {
       "{\"type\":\"register_dataset\",\"name\":\"n\",\"csv\":\"c\","
       "\"label\":\"l\",\"drop\":\"oops\"}\n",  // drop must be an array
       "{\"type\":\"find_slices\",\"dataset\":\"d\",}\n",  // trailing comma
+      // Integer fields take integral numbers inside int64, never a cast.
+      "{\"type\":\"get_status\",\"job\":1e300}\n",
+      "{\"type\":\"get_status\",\"job\":2.5}\n",
+      "{\"type\":\"find_slices\",\"dataset\":\"d\",\"k\":-1e300}\n",
+      "{\"type\":\"cancel\",\"job\":1,\"job\":2}\n",  // duplicate key
   };
   for (const char* line : bad_lines) {
     auto parsed = ParseRequest(line);
     EXPECT_FALSE(parsed.ok()) << line;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
   }
+  // Every JSON-level error carries the same prefix, duplicate keys included.
+  for (const char* line : {"not json at all\n",
+                           "{\"type\":\"cancel\",\"job\":1,\"job\":2}\n"}) {
+    EXPECT_EQ(ParseRequest(line).status().message().rfind(
+                  "malformed request: ", 0),
+              0u)
+        << line;
+  }
+}
+
+TEST(WorkerProtocolTest, MalformedRequestsAreRejected) {
+  const char* bad_lines[] = {
+      "{\"type\":\"heartbeat\",}\n",  // trailing comma
+      "{\"type\":\"heartbeat\",\"id\":\"a\",\"id\":\"b\"}\n",  // duplicate
+      "{\"type\":\"has_shard\",\"dataset\":\"d\",\"shard\":-1e30}\n",
+      "{\"type\":\"has_shard\",\"dataset\":\"d\",\"shard\":0.5}\n",
+      "{\"type\":\"heartbeat\",\"pspan\":1e300}\n",
+      "{\"type\":\"heartbeat\",\"trace\":\"99999999999999999999999\"}\n",
+      // Mistyped optional fields are errors, not silent defaults.
+      "{\"type\":\"enlist\",\"protocol\":\"1\"}\n",
+      "{\"type\":\"heartbeat\",\"pspan\":\"7\"}\n",
+      "{\"type\":\"eval_block\",\"dataset\":\"d\",\"shard\":0,"
+      "\"block_size\":\"x\",\"slices\":[[1]]}\n",
+      "{\"type\":\"eval_block\",\"dataset\":\"d\",\"shard\":0,"
+      "\"strategy\":7,\"slices\":[[1]]}\n",
+      // Slice column ids and shard codes are range-checked integers.
+      "{\"type\":\"eval_block\",\"dataset\":\"d\",\"shard\":0,"
+      "\"slices\":[[1e300]]}\n",
+      "{\"type\":\"eval_block\",\"dataset\":\"d\",\"shard\":0,"
+      "\"slices\":[[1.5]]}\n",
+      "{\"type\":\"load_shard\",\"dataset\":\"d\",\"shard\":0,"
+      "\"row_begin\":0,\"row_end\":1,\"chunk\":0,\"chunks\":1,"
+      "\"chunk_row_begin\":0,\"cols\":1,\"codes\":[3e9],\"errors\":[0]}\n",
+  };
+  for (const char* line : bad_lines) {
+    auto parsed = ParseWorkerRequest(line);
+    EXPECT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  EXPECT_EQ(ParseWorkerRequest(bad_lines[1]).status().message().rfind(
+                "malformed request: ", 0),
+            0u);
+  // Control: the same fields with well-typed, in-range values decode.
+  auto good = ParseWorkerRequest(
+      "{\"type\":\"eval_block\",\"dataset\":\"d\",\"shard\":0,"
+      "\"strategy\":\"scan\",\"block_size\":8,\"pspan\":7,"
+      "\"trace\":\"18446744073709551615\",\"slices\":[[1,5]]}\n");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->trace_id, 18446744073709551615ull);
+  EXPECT_EQ(good->block_size, 8);
+  EXPECT_EQ(good->slices.Columns(0)[1], 5);
 }
 
 TEST(ServeProtocolTest, ErrorCodesRoundTripThroughErrorLines) {
@@ -311,6 +371,55 @@ TEST(ServeProtocolTest, ParseResultRejectsMissingSections) {
     auto parsed = ParseResultJson(value.value(), nullptr);
     EXPECT_FALSE(parsed.ok()) << json;
   }
+}
+
+TEST(ServeProtocolTest, ResultJsonOfARealRunIsStrictJson) {
+  Rng rng(5);
+  data::IntMatrix x0(300, 3);
+  std::vector<double> errors(300);
+  for (int64_t i = 0; i < 300; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      x0.At(i, j) = static_cast<int32_t>(rng.NextUint64(3)) + 1;
+    }
+    errors[i] = rng.NextBool(0.3) ? 1.0 : 0.0;
+  }
+  core::SliceLineConfig config;
+  config.k = 3;
+  config.min_support = 10;
+  auto result = core::RunSliceLine(x0, errors, config);
+  ASSERT_TRUE(result.ok());
+
+  std::ostringstream os;
+  obs::JsonWriter writer(os);
+  WriteResultJson(&writer, *result, {"alpha", "beta", "gamma"});
+  EXPECT_EQ(obs::ValidateStrictJson(os.str()), "") << os.str();
+  auto value = obs::ParseJson(os.str());
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  auto parsed = ParseResultJson(value.value(), nullptr);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->min_support, 10);
+  EXPECT_EQ(parsed->top_k.size(), result->top_k.size());
+  EXPECT_EQ(parsed->levels.size(), result->levels.size());
+}
+
+TEST(ServeProtocolTest, ResultJsonEscapesFeatureNames) {
+  core::SliceLineResult result;
+  core::Slice slice;
+  slice.predicates = {{0, 1}};
+  slice.stats = {1.0, 1.0, 1.0, 10};
+  result.top_k.push_back(slice);
+  const std::vector<std::string> names = {"weird\"name\\with\nbreak"};
+
+  std::ostringstream os;
+  obs::JsonWriter writer(os);
+  WriteResultJson(&writer, result, names);
+  EXPECT_NE(os.str().find("weird\\\"name\\\\with\\nbreak"), std::string::npos)
+      << os.str();
+  auto value = obs::ParseJson(os.str());
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  std::vector<std::string> parsed_names;
+  ASSERT_TRUE(ParseResultJson(value.value(), &parsed_names).ok());
+  EXPECT_EQ(parsed_names, names);
 }
 
 }  // namespace

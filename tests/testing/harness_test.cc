@@ -96,6 +96,33 @@ TEST(ReplayTest, RejectsMalformedDocuments) {
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, 8, "\"rows\": 9");
   EXPECT_FALSE(ReplayFromJson(json).ok());
+
+  // Out-of-range or non-integral numbers are rejected, never cast.
+  const std::string valid = ReplayToJson(record);
+  ASSERT_TRUE(ReplayFromJson(valid).ok());
+  // Replaces the value of `key` (an array's leading elements) up to the
+  // next character in `stop`.
+  auto splice = [](std::string text, const std::string& key,
+                   const std::string& value, const char* stop = ",}") {
+    const size_t at = text.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    const size_t from = text.find_first_not_of(" [", at + key.size() + 3);
+    return text.replace(from, text.find_first_of(stop, from) - from, value);
+  };
+  EXPECT_FALSE(
+      ReplayFromJson(splice(valid, "seed", "\"99999999999999999999999\""))
+          .ok());
+  EXPECT_FALSE(ReplayFromJson(splice(valid, "x0", "1e300", ",]")).ok());
+  EXPECT_FALSE(ReplayFromJson(splice(valid, "x0", "3e9", ",]")).ok());
+  EXPECT_FALSE(ReplayFromJson(splice(valid, "rows", "-1")).ok());
+  // rows * cols = 2^64 wraps to 0 in int64; a kernel record (errors unused)
+  // with an empty x0 would then pass the length check.
+  std::string huge = splice(valid, "check", "\"kernel\"");
+  huge = splice(huge, "rows", "4294967296");
+  huge = splice(huge, "cols", "4294967296");
+  huge = splice(huge, "x0", "", "]");
+  huge = splice(huge, "errors", "", "]");
+  EXPECT_FALSE(ReplayFromJson(huge).ok());
 }
 
 TEST(ReplayTest, FileRoundTrip) {

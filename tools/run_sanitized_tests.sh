@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Builds the asan preset (-fsanitize=address,undefined) and runs the tier-1
-# ctest suite under it, so the concurrency paths (thread pool, distributed
-# fault recovery) are exercised with sanitizers on every change. Then runs
+# Builds the asan preset (-fsanitize=address,undefined,float-cast-overflow;
+# GCC's "undefined" group leaves float-cast-overflow out, and it is the check
+# that catches an out-of-range double -> integer cast of wire or file input)
+# and runs the tier-1 ctest suite under it, so the concurrency paths (thread
+# pool, distributed fault recovery) are exercised with sanitizers on every
+# change. Then runs
 # the fixed-seed fuzz smoke batches (label "fuzz") under the same build —
 # including the dedicated governance batch, which drives all four engines
 # through cancellation, simulated deadlines, and randomized memory budgets.
